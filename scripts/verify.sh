@@ -5,7 +5,9 @@
 #   VERIFY_FULL=1 scripts/verify.sh   # additionally the full benchmark suite
 #
 # Used by `make verify`; keep it in sync with the tier-1 command recorded
-# in ROADMAP.md.
+# in ROADMAP.md. Every test runs exactly once: the unit step deselects
+# what the named steps after it run, so a regression in one of those
+# suites fails under its own unmistakable step name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -17,42 +19,39 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== static analysis"
 python -m repro.lint src
 
+# Everything under tests/ except the API snapshot file and the
+# replication, faults, trace, persist and perf_smoke markers, which the
+# named steps below run.
 echo "== tier-1 unit suite"
-python -m pytest -x -q tests
+python -m pytest -x -q tests --ignore=tests/test_api_surface.py \
+    -m "not (replication or faults or trace or persist or perf_smoke)"
 
-# The facade suites already ran as part of tests/; this step re-checks
-# only the frozen __all__ snapshot so an API-surface drift fails with an
-# unmistakable step name.
+# The frozen __all__ snapshot: an API-surface drift fails here.
 echo "== public API surface"
 python -m pytest -x -q -m api tests/test_api_surface.py
 
 # Control replication: the Section 5.1 agreement protocol and the
 # replicated tracing backend (all-node decision agreement, coordinator
-# pruning, divergence demonstration). Already part of tests/ above; this
-# step gives replication regressions their own unmistakable step name.
+# pruning, divergence demonstration).
 echo "== replication suite"
 python -m pytest -x -q -m replication tests
 
 # Chaos: the fault-injection / graceful-degradation suites (seeded fault
-# plans, lane quarantine, replica drops, the fault-free-tenant
-# byte-identity property). Already part of tests/ above; this step gives
-# robustness regressions their own unmistakable step name.
+# plans, containment parity, lane quarantine, replica drops, the
+# fault-free-tenant byte-identity property).
 echo "== chaos (fault injection) suite"
 python -m pytest -x -q -m faults tests
 
 # Trace corpus: every checked-in fixture under tests/corpus/ must parse
 # canonically and re-drive to a byte-identical decision stream on every
 # tracing backend (plus the phase-graph generator's determinism laws).
-# Already part of tests/ above; this step gives corpus regressions their
-# own unmistakable step name. Regenerate fixtures with `make corpus`.
+# Regenerate fixtures with `make corpus`.
 echo "== trace corpus"
 python -m pytest -x -q -m trace tests
 
 # Persistence: dehydrate/hydrate round-trip byte-stability, warm-start
 # decision parity on every backend, deterministic candidate eviction,
 # digest tamper detection, and the service evict-then-readmit path.
-# Already part of tests/ above; this step gives persistence regressions
-# their own unmistakable step name.
 echo "== persistence"
 python -m pytest -x -q -m persist tests
 
@@ -64,6 +63,6 @@ echo "== perf_smoke guards"
 python -m pytest -x -q -m perf_smoke
 
 if [ "${VERIFY_FULL:-0}" = "1" ]; then
-    echo "== full suite (benchmarks included)"
-    python -m pytest -x -q
+    echo "== benchmark suite (beyond perf_smoke)"
+    python -m pytest -x -q benchmarks -m "not perf_smoke"
 fi

@@ -128,13 +128,13 @@ def collect_session_stats(handle, evictions=None, backend=None):
     holding richer context; by default it is read off the owning service
     (0 for standalone backends, which never evict). ``backend`` is the
     serving backend's ``backend_kind``; ``Session.stats`` passes it
-    down, and bare calls fall back to inferring it from the executor
-    shape (a session lane has a ``shared`` executor behind it).
+    down, and bare calls infer it from the handle: a replicated handle
+    carries its node processors, and a service lane has a scheduler.
     """
     processor = getattr(handle, "processor", handle)
     replayer = processor.stats
     executor = processor.executor
-    shared = getattr(executor, "shared", None)
+    scheduler = executor.scheduler
     service = getattr(handle, "service", None)
     if evictions is None:
         evictions = service.sessions_evicted if service is not None else 0
@@ -147,7 +147,7 @@ def collect_session_stats(handle, evictions=None, backend=None):
     if backend is None:
         if getattr(handle, "processors", None) is not None:
             backend = "replicated"
-        elif shared is not None:
+        elif scheduler is not None:
             backend = "service"
         else:
             backend = "standalone"
@@ -166,11 +166,12 @@ def collect_session_stats(handle, evictions=None, backend=None):
         jobs_submitted=executor.jobs_submitted,
         tokens_analyzed=executor.tokens_analyzed,
         memo_hits=executor.memo_hits,
-        outstanding_jobs=getattr(executor, "outstanding", 0),
+        outstanding_jobs=executor.outstanding,
         quota_limit=(
-            shared.lane_outstanding_quota if shared is not None else None
+            scheduler.lane_outstanding_quota if scheduler is not None
+            else None
         ),
-        quota_stalls=getattr(executor, "quota_stalls", 0),
+        quota_stalls=executor.quota_stalls,
         evictions=evictions,
         nodes=getattr(handle, "num_nodes", 1),
         coordinator_waits=coordinator.waits if coordinator else 0,
@@ -178,10 +179,10 @@ def collect_session_stats(handle, evictions=None, backend=None):
         agreement_table_size=(
             coordinator.agreement_table_size if coordinator else 0
         ),
-        mining_failures=getattr(executor, "mining_failures", 0),
-        degraded_jobs=getattr(executor, "degraded_jobs", 0),
-        deadline_overruns=getattr(executor, "deadline_overruns", 0),
-        quarantined=bool(getattr(executor, "quarantined", False)),
+        mining_failures=executor.mining_failures,
+        degraded_jobs=executor.degraded_jobs,
+        deadline_overruns=executor.deadline_overruns,
+        quarantined=executor.quarantined,
         live_nodes=getattr(
             handle, "live_nodes", getattr(handle, "num_nodes", 1)
         ),

@@ -10,23 +10,43 @@ submitted at operation ``t`` over ``n`` tokens completes at operation
 ``t + base + ceil(n * per_token)``, with deterministic per-node jitter so
 the distributed agreement protocol (Section 5.1) has real skew to resolve.
 
-The multi-tenant service layer (:mod:`repro.service`) shares one mining
-backend across many sessions. The pieces it reuses live here so a session
-lane stays byte-identical to a standalone executor:
+One executor serves every deployment:
 
-* :func:`completion_op` -- the completion-time model, as a pure function;
-* :class:`MiningMemo` -- the identical-window result cache, shareable
-  because its key excludes node and session identity;
-* :class:`AnalysisJob` -- supports deferred results so a shared executor
-  can queue the actual mining work behind a fair scheduler.
+* :class:`JobExecutor` is the per-session executor -- of a standalone
+  session, of each replicated node, and of each service tenant. Its fault
+  containment is written once: deadline -> breaker (both at submit, so a
+  refused job never queues) -> injected fault -> mine -> breaker record
+  -> counters -> fulfil. Without a scheduler it mines at submit time;
+* :class:`SharedJobExecutor` is the service's scheduler. Its lanes are
+  scheduled :class:`JobExecutor` instances whose admitted jobs queue
+  until the scheduler pumps (or a ``job.result`` read forces) them; the
+  scheduler then runs the lane's same containment with its own memo and
+  algorithm as the mining step.
+
+Decision neutrality is the load-bearing invariant: a session served by a
+scheduled lane must make *byte-identical* tbegin/tend decisions to running
+that application alone. Three properties guarantee it:
+
+1. **Identical completion times.** Every executor numbers its own jobs
+   from zero and feeds :func:`completion_op` in the session's own
+   operation clock -- op-clocks are never shared, so tenants cannot
+   perturb each other's ingestion points.
+2. **Identical results.** Mining is a pure function of
+   ``(window, min_length)``; :class:`MiningMemo` is keyed exactly so (no
+   node or session identity) and copies results in and out, so a hit from
+   another tenant's insert returns the same value mining would have.
+3. **Scheduling affects wall-clock only.** The fair scheduler decides
+   *when the Python work runs*, not when results are ingested: ingestion
+   is gated by the op-clock completion model, and a job drained before the
+   scheduler reached it materializes on first access to ``job.result``.
 """
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict, deque
+from functools import partial
 
 from repro.core.repeats import find_repeats
 from repro.faults import (
-    NULL_FAULT_PLAN,
     CircuitBreaker,
     InjectedMiningFault,
     MiningFault,
@@ -41,13 +61,12 @@ def completion_op(now_op, num_tokens, base_latency_ops, per_token_latency_ops,
                   node_id, job_id):
     """Operation count at which a mining job completes.
 
-    A module-level pure function (rather than a method) so the service
-    layer's per-session lanes compute completion times byte-identical to a
-    standalone :class:`JobExecutor`: the service must change throughput,
-    never decisions. The jitter is deterministic per ``(node_id, job_id)``,
-    modeling scheduling noise of background worker threads on each node;
-    Python hashes integers to themselves, so ``hash`` here is stable
-    across processes.
+    A module-level pure function (rather than a method) so a hydrated
+    session recomputes the completion times its uninterrupted run would
+    hold (:mod:`repro.persist`). The jitter is deterministic per
+    ``(node_id, job_id)``, modeling scheduling noise of background worker
+    threads on each node; Python hashes integers to themselves, so
+    ``hash`` here is stable across processes.
     """
     latency = base_latency_ops + int(num_tokens * per_token_latency_ops)
     jitter = (hash((node_id * 2654435761) ^ job_id) & 0xFFFF) % max(  # replint: allow[RPL003] int-only argument: Python hashes ints to themselves, stable across processes
@@ -76,20 +95,21 @@ class AnalysisJob:
     )
 
     def __init__(self, job_id, submitted_at_op, completes_at_op, num_tokens,
-                 result=_UNMINED, materialize=None, degraded=False):
+                 result=_UNMINED, degraded=False):
         self.job_id = job_id
         self.submitted_at_op = submitted_at_op
         self.completes_at_op = completes_at_op
         self.num_tokens = num_tokens
         self.degraded = degraded
         self._result = result
-        self._materialize = materialize
+        #: Zero-argument hook that runs a queued job's mining work.
+        self._materialize = None
 
     @property
     def result(self):
         """The mined repeats; forces deferred mining work if still queued."""
         if self._result is _UNMINED:
-            self._materialize(self)
+            self._materialize()
         return self._result
 
     @property
@@ -217,6 +237,20 @@ class MiningMemo:
         return self.hits / total if total else 0.0
 
 
+
+
+def _mine_with(source, tokens, min_length):
+    """Mine a window through ``source``'s memo and algorithm.
+
+    Returns ``(result, hit)``. Both attributes are read per call, so a
+    wrapped or swapped ``repeats_algorithm`` takes effect at once.
+    """
+    memo = source.memo
+    if memo is None:
+        return source.repeats_algorithm(tokens, min_length), False
+    return memo.mine(tokens, min_length, source.repeats_algorithm)
+
+
 class JobExecutor:
     """Runs repeat-finding jobs with simulated asynchronous completion.
 
@@ -237,8 +271,8 @@ class JobExecutor:
         tokens (see :class:`MiningMemo`). ``None`` keeps entry-count LRU.
     memo:
         An externally owned :class:`MiningMemo` to use instead of a private
-        one -- this is how replicated nodes or service tenants share one
-        cache. When given, ``memo_capacity`` is ignored.
+        one -- this is how replicated nodes share one cache. When given,
+        ``memo_capacity`` is ignored.
     fault_plan:
         A :class:`repro.faults.FaultPlan` (or spec string / ``None``)
         injecting deterministic mining faults; the default null plan
@@ -247,7 +281,7 @@ class JobExecutor:
         Stream identity the fault plan keys its decisions on. Replicated
         node executors of one session pass the same key, so all replicas
         fail identically (injected faults stay decision-neutral across
-        the replica set).
+        the replica set); a service lane's key is its session id.
     deadline_tokens:
         Soft per-job deadline, in window tokens: a window larger than
         this degrades to the empty result instead of running (a stand-in
@@ -256,7 +290,24 @@ class JobExecutor:
         Consecutive-failure threshold of the executor's
         :class:`~repro.faults.CircuitBreaker`; ``None``/0 disables
         quarantine (failures are still contained and counted).
+    scheduler:
+        The :class:`SharedJobExecutor` this executor is a lane of, or
+        ``None`` to mine at submit time. A lane mines with the
+        scheduler's memo and algorithm, so it is built without its own
+        (:meth:`SharedJobExecutor.lane` does that).
+    priority:
+        The lane's scheduling class (lower is served first).
     """
+
+    #: Counters a dehydrated session carries (:meth:`counters`).
+    COUNTERS = (
+        "jobs_submitted",
+        "tokens_analyzed",
+        "memo_hits",
+        "mining_failures",
+        "degraded_jobs",
+        "deadline_overruns",
+    )
 
     def __init__(
         self,
@@ -271,25 +322,25 @@ class JobExecutor:
         stream_key=None,
         deadline_tokens=None,
         quarantine_threshold=None,
+        scheduler=None,
+        priority=0,
     ):
         self.repeats_algorithm = repeats_algorithm
         self.base_latency_ops = base_latency_ops
         self.per_token_latency_ops = per_token_latency_ops
         self.node_id = node_id
-        self.memo_capacity = memo_capacity
-        if memo is not None:
-            self.memo = memo
-        elif memo_capacity:
-            self.memo = MiningMemo(memo_capacity, token_budget=memo_token_budget)
-        else:
-            self.memo = None
-        self.fault_plan = (
-            resolve_fault_plan(fault_plan) if fault_plan is not None
-            else NULL_FAULT_PLAN
-        )
+        if memo is None and memo_capacity:
+            memo = MiningMemo(memo_capacity, token_budget=memo_token_budget)
+        self.memo = memo
+        self.fault_plan = resolve_fault_plan(fault_plan)
         self.stream_key = stream_key
         self.deadline_tokens = deadline_tokens
         self.breaker = CircuitBreaker(quarantine_threshold)
+        self.scheduler = scheduler
+        self.priority = priority
+        #: Queued-but-unmined jobs of a lane, in submission order.
+        self.submit_queue = deque()
+        self._served_seq = 0
         self._ids = itertools.count()
         self.jobs_submitted = 0
         self.tokens_analyzed = 0
@@ -297,91 +348,371 @@ class JobExecutor:
         self.mining_failures = 0
         self.degraded_jobs = 0
         self.deadline_overruns = 0
+        #: Queued-but-unmined jobs still charged to this lane.
+        self.outstanding = 0
+        #: Times a submit hit the per-lane quota and drained its own work.
+        self.quota_stalls = 0
 
     @property
     def quarantined(self):
         return self.breaker.quarantined
 
-    def _mine(self, tokens, min_length):
-        """Run the repeat finder, reusing a memoized identical window."""
-        if self.memo is None:
-            return self.repeats_algorithm(tokens, min_length)
-        result, hit = self.memo.mine(tokens, min_length, self.repeats_algorithm)
-        if hit:
-            self.memo_hits += 1
-        return result
+    def counters(self):
+        """``{name: value}`` of the :data:`COUNTERS`."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
-    def _mine_contained(self, tokens, min_length, fault):
-        """Run mining with fault containment; returns ``(result, degraded)``.
-
-        Mining is advisory, so every failure path resolves to the empty
-        no-repeats result instead of propagating. The memo is only
-        touched by the successful :meth:`_mine` call, so a degraded
-        result can never poison it (failed analyses must not answer
-        other callers' identical windows).
-        """
-        if (self.deadline_tokens is not None
-                and len(tokens) > self.deadline_tokens):
-            # Soft deadline: a pathological window degrades instead of
-            # stalling. Deliberately not a breaker failure -- the stream
-            # is healthy, this window is just over budget.
-            self.deadline_overruns += 1
-            self.degraded_jobs += 1
-            return [], True
-        breaker = self.breaker
-        if not breaker.allow():
-            self.degraded_jobs += 1
-            return [], True
-        try:
-            if fault is not None:
-                if fault.kind == MiningFault.RAISE:
-                    raise InjectedMiningFault(
-                        f"injected mining failure (stream="
-                        f"{self.stream_key!r}, node={self.node_id})"
-                    )
-                if fault.kind == MiningFault.OVERRUN:
-                    self.deadline_overruns += 1
-                    raise InjectedMiningFault(
-                        f"injected deadline overrun (stream="
-                        f"{self.stream_key!r}, node={self.node_id})"
-                    )
-            result = self._mine(tokens, min_length)
-        except Exception:
-            self.mining_failures += 1
-            self.degraded_jobs += 1
-            breaker.record_failure()
-            return [], True
-        breaker.record_success()
-        return result, False
+    def restore(self, next_job_id, counters):
+        """Resume a dehydrated session's job numbering and counters."""
+        self._ids = itertools.count(next_job_id)
+        for name in self.COUNTERS:
+            if name in counters:
+                setattr(self, name, counters[name])
 
     def submit(self, tokens, min_length, now_op):
-        """Submit a mining job; returns the :class:`AnalysisJob`."""
+        """Submit a mining job; returns the :class:`AnalysisJob`.
+
+        The job's completion op is fixed here (it is part of the decision
+        stream), and so are the injected fault and the admission check:
+        an over-deadline or quarantined job resolves at once to the empty
+        degraded result. An admitted job mines now, or -- on a lane --
+        queues until the scheduler runs it. The finder hands over a
+        freshly copied slice, so the window is taken without a copy.
+        """
         job_id = next(self._ids)
         plan = self.fault_plan
         fault = (
             plan.mining_fault(self.stream_key, job_id) if plan.active
             else None
         )
-        result, degraded = self._mine_contained(tokens, min_length, fault)
-        delay = (
-            fault.delay_ops
-            if fault is not None and fault.kind == MiningFault.DELAY else 0
-        )
-        job = AnalysisJob(
-            job_id,
+        completes = completion_op(
             now_op,
-            completion_op(
-                now_op,
-                len(tokens),
-                self.base_latency_ops,
-                self.per_token_latency_ops,
-                self.node_id,
-                job_id,
-            ) + delay,
             len(tokens),
-            result,
-            degraded=degraded,
+            self.base_latency_ops,
+            self.per_token_latency_ops,
+            self.node_id,
+            job_id,
         )
+        if fault is not None and fault.kind == MiningFault.DELAY:
+            completes += fault.delay_ops
+            fault = None  # the mining itself stays healthy, just late
         self.jobs_submitted += 1
         self.tokens_analyzed += len(tokens)
+        job = AnalysisJob(job_id, now_op, completes, len(tokens))
+        if not self._admit(len(tokens)):
+            job._fulfill([], degraded=True)
+        elif self.scheduler is None:
+            self._run(job, tokens, min_length, fault, self._mine)
+        else:
+            self.scheduler._enqueue(self, job, tokens, min_length, fault)
         return job
+
+    def _admit(self, num_tokens):
+        """The deadline and breaker checks; ``False`` degrades the job."""
+        if (self.deadline_tokens is not None
+                and num_tokens > self.deadline_tokens):
+            # Soft deadline: a pathological window degrades instead of
+            # stalling. Deliberately not a breaker failure -- the stream
+            # is healthy, this window is just over budget.
+            self.deadline_overruns += 1
+            self.degraded_jobs += 1
+            return False
+        if not self.breaker.allow():
+            self.degraded_jobs += 1
+            return False
+        return True
+
+    def _mine(self, tokens, min_length):
+        """The unscheduled mining step: this executor's memo and algorithm."""
+        return _mine_with(self, tokens, min_length)
+
+    def _run(self, job, tokens, min_length, fault, mine):
+        """Mine an admitted job under containment and fulfil it.
+
+        ``mine(tokens, min_length) -> (result, hit)`` is the mining step.
+        Mining is advisory, so every failure -- injected or real --
+        resolves to the empty no-repeats result instead of propagating.
+        The memo is only written by a mining step that returned, so a
+        degraded result can never poison it (failed analyses must not
+        answer other callers' identical windows).
+        """
+        try:
+            if fault is not None:
+                # Decided at submit time; raised here, inside the
+                # containment, so it takes exactly the path a real
+                # mining exception takes.
+                if fault.kind == MiningFault.OVERRUN:
+                    self.deadline_overruns += 1
+                raise InjectedMiningFault(
+                    f"injected {fault.kind} fault (stream="
+                    f"{self.stream_key!r}, node={self.node_id})"
+                )
+            result, hit = mine(tokens, min_length)
+        except Exception:
+            self.mining_failures += 1
+            self.degraded_jobs += 1
+            self.breaker.record_failure()
+            job._fulfill([], degraded=True)
+            return
+        self.breaker.record_success()
+        if hit:
+            self.memo_hits += 1
+        job._fulfill(result)
+
+
+class _PendingMine:
+    """An admitted lane job whose mining work has not run yet.
+
+    ``counted`` tracks whether the entry still occupies queue budget:
+    running it (from the scheduler or a ``job.result`` force) and lane
+    release each release the budget exactly once. ``fault`` was decided
+    at submit time, which keeps the fault schedule a pure function of
+    ``(stream, job_seq)``, independent of the order the scheduler runs
+    the work.
+    """
+
+    __slots__ = ("lane", "job", "tokens", "min_length", "fault", "counted")
+
+    def __init__(self, lane, job, tokens, min_length, fault):
+        self.lane = lane
+        self.job = job
+        self.tokens = tokens
+        self.min_length = min_length
+        self.fault = fault
+        self.counted = True
+
+
+class SharedJobExecutor:
+    """Mining scheduler shared by every session of an Apophenia service.
+
+    Parameters
+    ----------
+    repeats_algorithm:
+        Callable ``(tokens, min_length) -> list[Repeat]`` shared by all
+        lanes (sessions needing different algorithms need different
+        services -- results must stay pure functions of the window).
+    memo_capacity:
+        Capacity of the cross-session :class:`MiningMemo`; 0 disables it.
+    max_outstanding_jobs:
+        Budget of queued-but-unmined jobs across all lanes. A submit that
+        would exceed it forces the scheduler to drain the excess first
+        (backpressure), bounding the memory the queues can hold.
+    memo_token_budget:
+        Optional size-aware admission budget for the shared memo, in
+        tokens (:class:`MiningMemo`). ``None`` keeps entry-count LRU.
+    lane_outstanding_quota:
+        Per-lane bound on queued-but-unmined jobs. The global budget
+        alone lets one runaway tenant fill the whole queue between pumps
+        and ride every other tenant's backpressure drains; with a quota,
+        a submit over the lane's own bound drains *that lane's* oldest
+        work first, so the cost of a tenant's burst lands on the tenant.
+        ``None`` disables the quota. Decision-neutral either way: drains
+        only change when mining work runs, never its results or the
+        op-clock completion times.
+    fault_plan / deadline_tokens / quarantine_threshold:
+        Every lane's fault plan, soft deadline, and default breaker
+        threshold (see :class:`JobExecutor`).
+    """
+
+    def __init__(self, repeats_algorithm=find_repeats, memo_capacity=256,
+                 max_outstanding_jobs=64, memo_token_budget=None,
+                 lane_outstanding_quota=None, fault_plan=None,
+                 deadline_tokens=None, quarantine_threshold=None):
+        self.repeats_algorithm = repeats_algorithm
+        self.memo = (
+            MiningMemo(memo_capacity, token_budget=memo_token_budget)
+            if memo_capacity else None
+        )
+        self.max_outstanding_jobs = max_outstanding_jobs
+        self.lane_outstanding_quota = lane_outstanding_quota
+        self.fault_plan = resolve_fault_plan(fault_plan)
+        self.deadline_tokens = deadline_tokens
+        self.quarantine_threshold = quarantine_threshold
+        self.lanes = {}
+        self.outstanding = 0
+        self._serve_counter = itertools.count()
+        # Counters of released lanes, so the totals in ``stats`` survive
+        # ``release_lane``.
+        self._retired = Counter()
+        # Aggregate accounting.
+        self.jobs_materialized = 0
+        self.mines_executed = 0
+        self.tokens_mined = 0
+        self.backpressure_drains = 0
+        self.lane_quota_drains = 0
+        self.forced_out_of_order = 0
+
+    # ------------------------------------------------------------------
+    # Lane management
+    # ------------------------------------------------------------------
+    def lane(self, session_key, node_id=0, base_latency_ops=50,
+             per_token_latency_ops=0.05, priority=0,
+             quarantine_threshold=None):
+        """Create the scheduled :class:`JobExecutor` for a new session."""
+        if session_key in self.lanes:
+            raise ValueError(f"lane {session_key!r} already exists")
+        lane = JobExecutor(
+            repeats_algorithm=None,
+            base_latency_ops=base_latency_ops,
+            per_token_latency_ops=per_token_latency_ops,
+            node_id=node_id,
+            memo_capacity=0,
+            fault_plan=self.fault_plan,
+            stream_key=session_key,
+            deadline_tokens=self.deadline_tokens,
+            quarantine_threshold=(
+                quarantine_threshold if quarantine_threshold is not None
+                else self.quarantine_threshold
+            ),
+            scheduler=self,
+            priority=priority,
+        )
+        lane._served_seq = next(self._serve_counter)
+        self.lanes[session_key] = lane
+        return lane
+
+    def release_lane(self, session_key):
+        """Drop a closed session's lane and its queued work.
+
+        Jobs still referenced by the departed session keep working: they
+        materialize lazily on ``result`` access. They just stop occupying
+        queue budget.
+        """
+        lane = self.lanes.pop(session_key, None)
+        if lane is None:
+            return None
+        for pending in lane.submit_queue:
+            if pending.counted:
+                pending.counted = False
+                self.outstanding -= 1
+        lane.outstanding = 0
+        lane.submit_queue.clear()
+        self._retired.update(lane.counters())
+        return lane
+
+    # ------------------------------------------------------------------
+    # Scheduling
+    # ------------------------------------------------------------------
+    def pump(self, max_jobs=None):
+        """Drain queued mining work fairly; returns jobs materialized.
+
+        Each round serves the lane with the lowest ``priority`` number
+        that has work, breaking ties by least-recently-served -- i.e.
+        round-robin within a priority class, so one chatty tenant cannot
+        starve the rest. Within a lane, jobs run in submission order.
+        """
+        ran = 0
+        while max_jobs is None or ran < max_jobs:
+            lane = self._next_lane()
+            if lane is None:
+                break
+            pending = lane.submit_queue.popleft()
+            lane._served_seq = next(self._serve_counter)
+            if pending.job.materialized:
+                continue  # forced out of order via job.result
+            self._run(pending)
+            ran += 1
+        return ran
+
+    def _next_lane(self):
+        best = None
+        for lane in self.lanes.values():
+            if not lane.submit_queue:
+                continue
+            if best is None or (lane.priority, lane._served_seq) < (
+                best.priority, best._served_seq
+            ):
+                best = lane
+        return best
+
+    def _enqueue(self, lane, job, tokens, min_length, fault):
+        pending = _PendingMine(lane, job, tokens, min_length, fault)
+        job._materialize = partial(self._force, pending)
+        lane.submit_queue.append(pending)
+        lane.outstanding += 1
+        self.outstanding += 1
+        quota = self.lane_outstanding_quota
+        if quota is not None and lane.outstanding > quota:
+            # The runaway lane pays for its own burst: drain its oldest
+            # queued work, not the fair-share schedule.
+            lane.quota_stalls += 1
+            self.lane_quota_drains += 1
+            self._drain_lane(lane, lane.outstanding - quota)
+        if self.outstanding > self.max_outstanding_jobs:
+            self.backpressure_drains += 1
+            self.pump(self.outstanding - self.max_outstanding_jobs)
+
+    def _drain_lane(self, lane, count):
+        """Materialize up to ``count`` of ``lane``'s own queued jobs."""
+        ran = 0
+        while ran < count and lane.submit_queue:
+            pending = lane.submit_queue.popleft()
+            if pending.job.materialized:
+                continue  # forced out of order via job.result
+            self._run(pending)
+            ran += 1
+        return ran
+
+    def _force(self, pending):
+        """Materialize a job ahead of the scheduler (``job.result`` read).
+
+        Its queue entry, if any, stays put and is skipped when the
+        scheduler reaches it.
+        """
+        if pending.job.materialized:
+            return
+        self.forced_out_of_order += 1
+        self._run(pending)
+
+    def _run(self, pending):
+        if pending.counted:
+            pending.counted = False
+            pending.lane.outstanding -= 1
+            self.outstanding -= 1
+        self.jobs_materialized += 1
+        pending.lane._run(pending.job, pending.tokens, pending.min_length,
+                          pending.fault, self._mine)
+        # The queue entry may linger until the scheduler pops (and skips)
+        # it; drop the window so it cannot pin batchsize-long token lists.
+        pending.tokens = None
+
+    def _mine(self, tokens, min_length):
+        """The scheduled mining step: the shared memo and algorithm."""
+        result, hit = _mine_with(self, tokens, min_length)
+        if not hit:
+            self.mines_executed += 1
+            self.tokens_mined += len(tokens)
+        return result, hit
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def memo_hit_rate(self):
+        return self.memo.hit_rate if self.memo is not None else 0.0
+
+    @property
+    def stats(self):
+        totals = Counter(self._retired)
+        for lane in self.lanes.values():
+            totals.update(lane.counters())
+        return {
+            "lanes": len(self.lanes),
+            "outstanding": self.outstanding,
+            "jobs_materialized": self.jobs_materialized,
+            "mines_executed": self.mines_executed,
+            "tokens_mined": self.tokens_mined,
+            "memo_hits": self.memo.hits if self.memo is not None else 0,
+            "memo_hit_rate": self.memo_hit_rate,
+            "memo_tokens_held": (
+                self.memo.tokens_held if self.memo is not None else 0
+            ),
+            "backpressure_drains": self.backpressure_drains,
+            "lane_quota_drains": self.lane_quota_drains,
+            "forced_out_of_order": self.forced_out_of_order,
+            "mining_failures": totals["mining_failures"],
+            "degraded_jobs": totals["degraded_jobs"],
+            "deadline_overruns": totals["deadline_overruns"],
+            "quarantined": sum(
+                1 for lane in self.lanes.values() if lane.quarantined
+            ),
+        }

@@ -340,11 +340,10 @@ class ApopheniaProcessor:
         their independently numbered jobs cannot collide. ``None`` (the
         default) keeps the single-stream namespace.
     executor:
-        An injected mining executor satisfying the
-        :class:`~repro.core.jobs.JobExecutor` interface (``submit`` plus
-        the submission counters). The multi-tenant service passes a
-        per-session lane of its shared executor here; ``None`` builds a
-        private :class:`JobExecutor` from ``config``.
+        An injected :class:`~repro.core.jobs.JobExecutor`: the
+        multi-tenant service passes a session's scheduled lane, the
+        replicated backend a node executor sharing the session's memo.
+        ``None`` builds a private one from ``config``.
     """
 
     #: :class:`repro.api.TracingBackend` discriminator.
@@ -500,11 +499,11 @@ class ApopheniaProcessor:
     def backend_stats(self):
         """Executor-side counters, shaped like the service's."""
         executor = self.executor
-        memo = getattr(executor, "memo", None)
+        memo = executor.memo
         replayer_stats = self.replayer.stats
         return {
             "lanes": 1,
-            "outstanding": getattr(executor, "outstanding", 0),
+            "outstanding": executor.outstanding,
             "jobs_materialized": executor.jobs_submitted,
             "memo_hits": executor.memo_hits,
             "memo_hit_rate": (
@@ -518,10 +517,10 @@ class ApopheniaProcessor:
             "pointer_collapses": replayer_stats.pointer_collapses,
             "hysteresis_suppressed": replayer_stats.hysteresis_suppressed,
             # Degradation gauges (fault containment / quarantine).
-            "mining_failures": getattr(executor, "mining_failures", 0),
-            "degraded_jobs": getattr(executor, "degraded_jobs", 0),
-            "deadline_overruns": getattr(executor, "deadline_overruns", 0),
-            "quarantined": 1 if getattr(executor, "quarantined", False) else 0,
+            "mining_failures": executor.mining_failures,
+            "degraded_jobs": executor.degraded_jobs,
+            "deadline_overruns": executor.deadline_overruns,
+            "quarantined": 1 if executor.quarantined else 0,
             # Lifecycle / persistence gauges.
             "candidates_evicted": replayer_stats.candidates_evicted,
             "warm_starts": self.warm_starts,

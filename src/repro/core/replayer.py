@@ -201,11 +201,6 @@ class TraceReplayer:
         self.store.max_phases_per_cycle = value
 
     @property
-    def _by_rotation(self):
-        """The store's rotation groups (compatibility spelling)."""
-        return self.store.by_rotation
-
-    @property
     def stats(self):
         """Counters, with the engine/policy/store-side gauges synced in."""
         stats = self._stats
@@ -321,20 +316,6 @@ class TraceReplayer:
             self._fire(match)
             return
         self._flush_safe_prefix()
-
-    def _worth_waiting(self, match, index):
-        """Compatibility spelling of the policy's deferral check."""
-        return self.policy.worth_waiting(
-            match, index, self.engine.pointers()
-        )
-
-    def _cycle_members(self, candidate):
-        """Compatibility spelling of the store's rotation-group lookup."""
-        return self.store.cycle_members(candidate)
-
-    def _record_fire(self, candidate):
-        """Compatibility spelling of the store's realized-record update."""
-        self.store.record_fire(candidate)
 
     def _fire(self, match):
         """Commit a match: flush its prefix, issue it as a trace, reprocess

@@ -44,7 +44,6 @@ on load (tamper detection). Schema versions are plugin points in
 :data:`PERSIST_FORMATS`, mirroring :data:`repro.trace.TRACE_FORMATS`.
 """
 
-import itertools
 import json
 from collections import deque
 
@@ -91,19 +90,6 @@ _REPLAYER_COUNTERS = (
     "traces_fired",
     "candidates_ingested",
     "deferrals",
-)
-
-#: Executor/lane counters restored onto whatever executor serves the
-#: hydrated session (``jobs_submitted`` doubles as the next job id on
-#: both executor kinds -- ids and the counter start at zero and move
-#: together).
-_EXECUTOR_COUNTERS = (
-    "jobs_submitted",
-    "tokens_analyzed",
-    "memo_hits",
-    "mining_failures",
-    "degraded_jobs",
-    "deadline_overruns",
 )
 
 
@@ -472,11 +458,10 @@ def _snapshot_processor(processor):
             },
         },
         "jobs": {
+            # Job ids and ``jobs_submitted`` start at zero and move
+            # together, so the counter doubles as the next job id.
             "next_job_id": executor.jobs_submitted,
-            "counters": {
-                name: getattr(executor, name, 0)
-                for name in _EXECUTOR_COUNTERS
-            },
+            "counters": executor.counters(),
             "pending": pending,
         },
         "coordinator": coordinator_state,
@@ -582,12 +567,8 @@ def hydrate_processor(processor, state):
     finder.sampler._arrivals = fin["sampler"]["arrivals"]
     finder.sampler._trigger = fin["sampler"]["trigger"]
 
-    executor = processor.executor
     jobs = payload["jobs"]
-    executor._ids = itertools.count(jobs["next_job_id"])
-    for name, value in jobs["counters"].items():
-        if hasattr(executor, name):
-            setattr(executor, name, value)
+    processor.executor.restore(jobs["next_job_id"], jobs["counters"])
     finder.pending_jobs = deque(
         AnalysisJob(
             job["job_id"],

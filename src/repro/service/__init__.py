@@ -4,9 +4,9 @@ The paper's system serves one application; the service layer serves many
 concurrent application *sessions* from one process without duplicating
 executors, memos, or schedulers:
 
-* :mod:`repro.service.executor` -- the shared mining executor: per-session
-  submit lanes, a priority/fair scheduler, a cross-session window memo,
-  and an outstanding-job budget;
+* :class:`SharedJobExecutor` (from :mod:`repro.core.jobs`) -- the shared
+  mining scheduler: per-session lanes, a priority/fair schedule, a
+  cross-session window memo, and an outstanding-job budget;
 * :mod:`repro.service.service` -- :class:`ApopheniaService`: session
   admission, LRU eviction, and per-task routing;
 * :mod:`repro.service.replicated` -- :class:`ReplicatedBackend`: each
@@ -16,11 +16,11 @@ executors, memos, or schedulers:
 
 The whole layer is decision-neutral by construction: every session's
 tbegin/tend stream is byte-identical to running its application alone
-(see :mod:`repro.service.executor` for the argument, and
+(see :mod:`repro.core.jobs` for the argument, and
 ``tests/test_service.py`` for the property tests).
 """
 
-from repro.service.executor import SessionLane, SharedJobExecutor
+from repro.core.jobs import SharedJobExecutor
 from repro.service.replicated import ReplicatedBackend, ReplicatedSessionHandle
 from repro.service.service import ApopheniaService, SessionHandle
 
@@ -29,6 +29,5 @@ __all__ = [
     "ReplicatedBackend",
     "ReplicatedSessionHandle",
     "SessionHandle",
-    "SessionLane",
     "SharedJobExecutor",
 ]

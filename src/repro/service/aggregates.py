@@ -54,9 +54,9 @@ class RetiredCounters:
         executor = processor.executor
         self.jobs += executor.jobs_submitted
         self.memo_hits += executor.memo_hits
-        self.mining_failures += getattr(executor, "mining_failures", 0)
-        self.degraded_jobs += getattr(executor, "degraded_jobs", 0)
-        self.deadline_overruns += getattr(executor, "deadline_overruns", 0)
+        self.mining_failures += executor.mining_failures
+        self.degraded_jobs += executor.degraded_jobs
+        self.deadline_overruns += executor.deadline_overruns
         replayer_stats = processor.replayer.stats
         self.pointer_peak = max(
             self.pointer_peak, replayer_stats.active_pointer_peak

@@ -3,7 +3,7 @@
 :class:`ApopheniaService` multiplexes N concurrent application sessions --
 each a full ``(TaskHasher, TraceFinder, TraceReplayer)`` triple fronting
 its own runtime -- over ONE shared mining executor
-(:class:`~repro.service.executor.SharedJobExecutor`). Sharing the mining
+(:class:`~repro.core.jobs.SharedJobExecutor`). Sharing the mining
 backend is what makes the service more than N processors in a dict:
 identical windows from different tenants hit the same memo entry (safe
 because mining results are pure functions of the window), and one fair
@@ -29,6 +29,7 @@ re-mining from scratch. Without the budget (the default) eviction keeps
 the historical behaviour -- the tenant restarts cold.
 """
 
+from repro.core.jobs import SharedJobExecutor
 from repro.core.processor import (
     ApopheniaConfig,
     ApopheniaProcessor,
@@ -37,7 +38,6 @@ from repro.core.processor import (
 from repro.errors import SessionClosedError
 from repro.persist import SessionStateStore, dehydrate, hydrate_processor
 from repro.runtime.session import RuntimeSessionFactory
-from repro.service.executor import SharedJobExecutor
 
 
 class SessionHandle:

@@ -31,7 +31,9 @@ from repro.registry import Registry, RegistryError
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
 from repro.runtime.task import Task
+from repro.faults import FaultPlan
 from repro.service import ApopheniaService, SharedJobExecutor
+from repro.service.replicated import ReplicatedBackend
 
 pytestmark = pytest.mark.api
 
@@ -497,6 +499,54 @@ class TestSessionStatsSurface:
         assert stats.tasks_seen == 20
         assert stats.jobs_submitted == processor.executor.jobs_submitted
 
+    @staticmethod
+    def _assert_executor_counters(stats, executor):
+        assert stats.jobs_submitted == executor.jobs_submitted > 0
+        assert stats.tokens_analyzed == executor.tokens_analyzed
+        assert stats.memo_hits == executor.memo_hits
+        assert stats.outstanding_jobs == executor.outstanding
+        assert stats.quota_stalls == executor.quota_stalls
+        assert stats.mining_failures == executor.mining_failures > 0
+        assert stats.degraded_jobs == executor.degraded_jobs
+        assert stats.deadline_overruns == executor.deadline_overruns
+        assert stats.quarantined == executor.quarantined
+
+    def test_collect_from_bare_service_handle(self, app_streams):
+        config = FAST_CONFIG.with_overrides(
+            fault_plan=FaultPlan(seed=3, mining_failure_rate=0.3),
+            fault_quarantine_threshold=None,
+            lane_outstanding_quota=4,
+        )
+        service = ApopheniaService(config)
+        handle = service.open_session("t")
+        for iteration, task in app_streams["jacobi"]:
+            handle.set_iteration(iteration)
+            handle.execute_task(task)
+        stats = collect_session_stats(handle)
+        assert stats.backend == "service"
+        assert stats.session_id == "t"
+        assert stats.quota_limit == 4
+        assert stats.tasks_seen == len(app_streams["jacobi"])
+        self._assert_executor_counters(stats, handle.lane)
+
+    def test_collect_from_bare_replicated_handle(self, app_streams):
+        config = FAST_CONFIG.with_overrides(
+            fault_plan=FaultPlan(seed=3, mining_failure_rate=0.3),
+            fault_quarantine_threshold=None,
+        )
+        backend = ReplicatedBackend(config, num_nodes=2)
+        handle = backend.open_session("r")
+        for iteration, task in app_streams["jacobi"]:
+            handle.set_iteration(iteration)
+            handle.execute_task(task)
+        stats = collect_session_stats(handle)
+        assert stats.backend == "replicated"
+        assert stats.session_id == "r"
+        assert stats.nodes == stats.live_nodes == 2
+        assert stats.quota_limit is None
+        assert stats.tasks_seen == len(app_streams["jacobi"])
+        self._assert_executor_counters(stats, handle.processor.executor)
+
 
 class TestEvictionFlushOrdering:
     def test_evicted_sessions_buffered_tasks_flush_in_stream_order(self):
@@ -672,39 +722,11 @@ class TestLaneOutstandingQuota:
 
 
 class TestDeprecationShims:
-    def test_auto_config_warns_and_keeps_exact_old_semantics(self):
-        """The shim must not silently change out-of-repo callers: plain
-        construction, no env/profile layering, no validation."""
-        from repro.experiments.harness import auto_config
-
-        with pytest.deprecated_call(match="repro.api.build_config"):
-            cfg = auto_config(batchsize=512)
-        assert cfg.batchsize == 512
-
-    def test_auto_config_ignores_environment_and_skips_validation(
-        self, monkeypatch
-    ):
-        from repro.experiments.harness import auto_config
-
-        monkeypatch.setenv("REPRO_BATCHSIZE", "4096")
-        monkeypatch.setenv("REPRO_PROFILE", "service")
-        with pytest.deprecated_call():
-            pinned = auto_config(batchsize=256)
-            degenerate = auto_config(min_trace_length=1)
-        assert pinned.batchsize == 256
-        assert pinned.shared_memo_capacity == ApopheniaConfig().shared_memo_capacity
-        assert degenerate.min_trace_length == 1  # historical: unvalidated
-
     def test_repro_deprecations_escalate_to_errors(self):
-        """The gate itself: a repro-prefixed DeprecationWarning raised
-        outside a catching context must fail the suite."""
+        """The gate itself: under the suite's ``pytest.ini`` filters, a
+        repro-prefixed DeprecationWarning raised outside a catching
+        context is an error."""
         import warnings
 
-        from repro.experiments.harness import auto_config
-
-        with pytest.raises(DeprecationWarning):
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "error", message=r"^repro\b", category=DeprecationWarning
-                )
-                auto_config()
+        with pytest.raises(DeprecationWarning, match="^repro: "):
+            warnings.warn("repro: gate check", DeprecationWarning)

@@ -448,6 +448,81 @@ class TestLaneQuarantine:
         assert lane.breaker.consecutive_failures == 0
 
 
+class TestContainmentParity:
+    """A scheduled lane runs the same containment as an unscheduled
+    executor: only *when* the mining runs differs, never its outcome."""
+
+    PLAN = dict(seed=5, mining_failure_rate=0.15, mining_overrun_rate=0.15,
+                mining_delay_rate=0.2, mining_delay_ops=40,
+                fail_jobs=(12, 16))
+    DEADLINE = 30
+    JOBS = 40
+
+    def _windows(self):
+        shapes = ([1, 2, 3, 4, 5] * 4, [7, 8, 9] * 6, [1, 2] * 9)
+        for job in range(self.JOBS):
+            if job % 9 == 4:
+                yield REPEATING_WINDOW  # over the deadline
+            else:
+                yield list(shapes[job % len(shapes)])
+
+    def _run(self, executor, pump=None):
+        jobs = []
+        for op, window in enumerate(self._windows()):
+            job = executor.submit(window, MIN_LENGTH, op * 10)
+            if pump is not None:
+                pump()
+            assert job.materialized
+            jobs.append((job.job_id, job.completes_at_op, job.result,
+                         job.degraded))
+        breaker = executor.breaker
+        return jobs, dict(
+            executor.counters(),
+            quarantined=executor.quarantined,
+            trips=breaker.trips,
+            probes=breaker.probes,
+            recoveries=breaker.recoveries,
+        )
+
+    def test_scheduled_lane_matches_unscheduled_executor(self):
+        plan = FaultPlan(**self.PLAN)
+        kinds = {
+            fault.kind for fault in
+            (plan.mining_fault("t", job) for job in range(self.JOBS))
+            if fault is not None
+        }
+        assert kinds == {
+            MiningFault.RAISE, MiningFault.OVERRUN, MiningFault.DELAY
+        }
+        unscheduled = JobExecutor(
+            fault_plan=plan, stream_key="t", deadline_tokens=self.DEADLINE,
+            quarantine_threshold=2,
+        )
+        shared = SharedJobExecutor(
+            memo_capacity=8, fault_plan=plan,
+            deadline_tokens=self.DEADLINE, quarantine_threshold=2,
+        )
+        lane = shared.lane("t")
+        assert lane.scheduler is shared and unscheduled.scheduler is None
+
+        alone, alone_counters = self._run(unscheduled)
+        served, served_counters = self._run(lane, pump=shared.pump)
+
+        assert served == alone
+        assert served_counters == alone_counters
+        # Non-vacuous: every containment branch was taken.
+        assert alone_counters["trips"] >= 1
+        assert alone_counters["probes"] >= 1
+        assert alone_counters["mining_failures"] >= 2
+        assert alone_counters["deadline_overruns"] > self.JOBS // 9
+        assert alone_counters["memo_hits"] > 0
+        assert any(not degraded and result for _, _, result, degraded
+                   in alone)
+        assert shared.stats["degraded_jobs"] == served_counters[
+            "degraded_jobs"
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Session lifecycle: SessionClosedError and exception-safe teardown
 # ---------------------------------------------------------------------------
