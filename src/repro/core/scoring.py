@@ -33,6 +33,16 @@ separable layer: choosing among completed matches, defending a deferred
 match, and deciding whether a deferral is still worth waiting on given
 the live pointer set. The replayer owns stream bookkeeping only; every
 trade-off lives here.
+
+**One scoring pass per step.** :meth:`ReplayDecisionPolicy.select`
+scores each completed match once and the incumbent once, and hands the
+held match's score to the :meth:`~ReplayDecisionPolicy.worth_waiting`
+call that follows at the same step, where it becomes the threshold.
+The hand-off holds one value, is used at most once, and only when both
+the match object and the stream index agree; otherwise
+``worth_waiting`` scores the match itself. ``worth_waiting`` is one loop
+for every hysteresis setting: the weighting is applied only to a
+potential that already beats the threshold.
 """
 
 import math
@@ -67,9 +77,14 @@ class ScoringPolicy:
         ``last_seen_at`` and ``replayed`` (see
         :class:`repro.core.trie.TraceCandidate`).
         """
-        count = min(candidate.occurrences, self.count_cap)
+        # if-clamps, not min()/max(): the builtin calls cost more here.
+        count = candidate.occurrences
+        if count > self.count_cap:
+            count = self.count_cap
         if candidate.last_seen_at is not None:
-            idle = max(0, now_index - candidate.last_seen_at)
+            idle = now_index - candidate.last_seen_at
+            if idle < 0:
+                idle = 0
             count *= math.exp(-self.decay_rate * idle)
         score = candidate.length * count
         if candidate.replayed:
@@ -106,41 +121,18 @@ class ScoringPolicy:
             length * candidate.fires + candidate.gap_tokens
         )
 
-    def _discounted(self, candidate):
-        """True when hysteresis applies to this candidate at all."""
-        return (
+    def weight(self, candidate):
+        """The hysteresis factor on a candidate's score or potential:
+        ``realized_share ** hysteresis`` for a candidate of at least
+        ``hysteresis_min_length`` that has fired, else exactly 1.0, so
+        weighting is the identity wherever hysteresis does not apply."""
+        if (
             self.hysteresis
             and candidate.fires
             and candidate.length >= self.hysteresis_min_length
-        )
-
-    def weighted_score(self, candidate, now_index):
-        """:meth:`score` with the hysteresis weighting applied."""
-        value = self.score(candidate, now_index)
-        if self._discounted(candidate):
-            value *= self.realized_share(candidate) ** self.hysteresis
-        return value
-
-    def weighted_potential(self, candidate, now_index):
-        """:meth:`potential` with the hysteresis weighting applied."""
-        value = self.potential(candidate, now_index)
-        if self._discounted(candidate):
-            value *= self.realized_share(candidate) ** self.hysteresis
-        return value
-
-    def best(self, matches, now_index):
-        """Pick the highest-scoring match; ties break to the longest, then
-        the earliest start position (deterministic across nodes)."""
-        if not matches:
-            return None
-        return max(
-            matches,
-            key=lambda m: (
-                self.score(m.candidate, now_index),
-                m.candidate.length,
-                -m.start_index,
-            ),
-        )
+        ):
+            return self.realized_share(candidate) ** self.hysteresis
+        return 1.0
 
 
 class ReplayDecisionPolicy:
@@ -149,8 +141,10 @@ class ReplayDecisionPolicy:
     Owns every choice the serving path makes among the completed matches
     ``D``, the deferred match, and the active potential matches ``A`` --
     the replayer keeps only stream bookkeeping (buffering, firing,
-    flushing). Stateless apart from the ``hysteresis_suppressed``
-    counter, so decisions stay a pure function of the token stream and
+    flushing). Its state is the ``hysteresis_suppressed`` counter and
+    the one-value score hand-off from :meth:`select` to
+    :meth:`worth_waiting` (a cache within one step, never a decision
+    input), so decisions stay a pure function of the token stream and
     the ingested candidate sets (the Section 5.1 agreement argument).
     """
 
@@ -160,6 +154,7 @@ class ReplayDecisionPolicy:
         #: challenger from displacing toward) a candidate the paper's
         #: scoring would have chased.
         self.hysteresis_suppressed = 0
+        self._handoff = None  # (match, now_index, score) from select
 
     # ------------------------------------------------------------------
     # Choosing among completions
@@ -167,39 +162,45 @@ class ReplayDecisionPolicy:
     def select(self, completed, incumbent, now_index):
         """The match to defer after this token: challenger or incumbent.
 
-        The best completed match displaces the held one only if it
-        strictly beats it; with no incumbent the best completion wins
-        outright. Returns ``None`` only when both are absent.
+        The best completed match -- highest score, then longest, then
+        earliest start -- displaces the held one only if it strictly
+        beats it; with no incumbent the best completion wins outright.
+        Returns ``None`` only when both are absent.
         """
-        challenger = (
-            self.scoring.best(completed, now_index) if completed else None
-        )
-        if challenger is None:
+        if not completed:
+            self._handoff = None
             return incumbent
-        if incumbent is None:
-            return challenger
-        if self._beats(challenger, incumbent, now_index):
-            return challenger
-        return incumbent
-
-    def _beats(self, challenger, incumbent, now_index):
-        # The challenger pays for its realized misalignment record; the
-        # held match keeps its full score (displacement is never made
-        # cheaper by the incumbent's own record -- hysteresis resists
-        # switching, it does not invite it).
         scoring = self.scoring
-        cs = scoring.weighted_score(challenger.candidate, now_index)
-        inc = scoring.score(incumbent.candidate, now_index)
-        if cs != inc:
-            if scoring.hysteresis and (cs > inc) != (
-                scoring.score(challenger.candidate, now_index) > inc
-            ):
-                self.hysteresis_suppressed += 1
-            return cs > inc
-        if challenger.candidate.length != incumbent.candidate.length:
-            return challenger.candidate.length > incumbent.candidate.length
-        # Equal scores and lengths: prefer consuming the stream in order.
-        return challenger.start_index < incumbent.start_index
+        score = scoring.score
+        challenger = None
+        for match in completed:
+            candidate = match.candidate
+            key = (score(candidate, now_index), candidate.length,
+                   -match.start_index)
+            if challenger is None or key > best:
+                challenger, best = match, key
+        raw, length, _ = best
+        held, held_score = challenger, raw
+        if incumbent is not None:
+            # The challenger pays for its realized misalignment record;
+            # the held match keeps its full score (displacement is never
+            # made cheaper by the incumbent's own record -- hysteresis
+            # resists switching, it does not invite it).
+            cs = raw * scoring.weight(challenger.candidate)
+            inc = score(incumbent.candidate, now_index)
+            if cs != inc:
+                if (cs > inc) != (raw > inc):
+                    self.hysteresis_suppressed += 1
+                wins = cs > inc
+            elif length != incumbent.candidate.length:
+                wins = length > incumbent.candidate.length
+            else:
+                # Equal scores and lengths: consume the stream in order.
+                wins = challenger.start_index < incumbent.start_index
+            if not wins:
+                held, held_score = incumbent, inc
+        self._handoff = (held, now_index, held_score)
+        return held
 
     # ------------------------------------------------------------------
     # Deferral
@@ -213,42 +214,41 @@ class ReplayDecisionPolicy:
         first pointer past the match's region.
         """
         scoring = self.scoring
-        hysteresis = scoring.hysteresis
-        if not hysteresis:
+        handoff = self._handoff
+        self._handoff = None
+        if (
+            handoff is not None
+            and handoff[0] is match
+            and handoff[1] == now_index
+        ):
+            threshold = handoff[2]
+        else:
             threshold = scoring.score(match.candidate, now_index)
-            for start, node in pointers:
-                if start >= match.end_index:
-                    # Pointers arrive sorted by start: every later one
-                    # also consumes only stream beyond the match.
-                    break
-                deep = node.deep
-                if deep is None or deep.length <= node.depth:
-                    continue  # nothing deeper can complete from here
-                if scoring.potential(deep, now_index) > threshold:
-                    return True
-            return False
-        # Hysteresis discounts only the speculative side, and only for
-        # full-buffer-scale candidates with a realized record (see
-        # ``hysteresis_min_length``): the candidate being waited *for*
-        # pays for the misalignment gaps its past commits stranded,
-        # while the completed match in hand keeps its full score --
-        # holding is never made cheaper, only chasing. Untried
-        # candidates keep the paper's optimistic potential, so
-        # exploration is untouched.
-        threshold = scoring.score(match.candidate, now_index)
+        end = match.end_index
+        count_cap = scoring.count_cap
+        replay_bonus = scoring.replay_bonus
         raw_would_wait = False
         for start, node in pointers:
-            if start >= match.end_index:
+            if start >= end:
+                # Pointers arrive sorted by start: every later one also
+                # consumes only stream beyond the match.
                 break
             deep = node.deep
             if deep is None or deep.length <= node.depth:
+                continue  # nothing deeper can complete from here
+            # ScoringPolicy.potential, inline.
+            potential = deep.length * count_cap * replay_bonus
+            if potential <= threshold:
                 continue
-            if scoring.weighted_potential(deep, now_index) > threshold:
+            # Hysteresis discounts only the candidate waited *for*, never
+            # the match in hand. The weight is at most 1, so a potential
+            # at or under the threshold never needs it.
+            if potential * scoring.weight(deep) > threshold:
                 return True
-            if scoring.potential(deep, now_index) > threshold:
-                raw_would_wait = True
+            raw_would_wait = True
         if raw_would_wait:
             self.hysteresis_suppressed += 1
         return False
+
 
 __all__ = ["ReplayDecisionPolicy", "ScoringPolicy"]

@@ -71,6 +71,7 @@ class TraceCandidate:
     __slots__ = (
         "trace_id",
         "tokens",
+        "length",
         "occurrences",
         "last_seen_at",
         "replayed",
@@ -82,6 +83,7 @@ class TraceCandidate:
     def __init__(self, trace_id, tokens):
         self.trace_id = trace_id
         self.tokens = tuple(tokens)
+        self.length = len(self.tokens)  # tokens are never reassigned
         self.occurrences = 0
         self.last_seen_at = None
         self.replayed = False
@@ -92,10 +94,6 @@ class TraceCandidate:
         # its commits (the misalignment cost of choosing it).
         self.fires = 0
         self.gap_tokens = 0
-
-    @property
-    def length(self):
-        return len(self.tokens)
 
     def __repr__(self):
         return (

@@ -185,9 +185,9 @@ def measure_mining_throughput(
 ):
     """Time ``find_repeats`` per backend; returns ``{name: measurement}``.
 
-    Each configuration runs ``rounds`` times and reports its best round
-    (minimum wall-clock), the standard way to suppress scheduling noise in
-    throughput measurements. ``seed`` reproduces the pre-backend pipeline
+    Each round runs every configuration once (so drift hits them alike);
+    each reports its best round (minimum wall-clock) to suppress
+    scheduling noise. ``seed`` reproduces the pre-backend pipeline
     and is the baseline the ≥3x acceptance target is measured against.
     """
     tokens = list(tokens)
@@ -196,20 +196,20 @@ def measure_mining_throughput(
         miners["seed"] = seed_find_repeats
     for name in backends if backends is not None else available_backends():
         miners[name] = _backend_miner(name)
-    out = {}
-    for name, miner in miners.items():
-        best = None
-        repeats = None
-        for _ in range(rounds):
+    best = {}
+    for _ in range(rounds):
+        for name, miner in miners.items():
             start = time.perf_counter()
             repeats = miner(tokens, min_length)
             elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        out[name] = MiningMeasurement(
-            name, len(tokens) / best if best else 0.0, best, repeats
+            if name not in best or elapsed < best[name][0]:
+                best[name] = (elapsed, repeats)
+    return {
+        name: MiningMeasurement(
+            name, len(tokens) / elapsed if elapsed else 0.0, elapsed, repeats
         )
-    return out
+        for name, (elapsed, repeats) in best.items()
+    }
 
 
 def _backend_miner(name):

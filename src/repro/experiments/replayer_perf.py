@@ -106,21 +106,19 @@ def measure_replayer_throughput(stream, repeats, engines=None, rounds=3,
                                 min_trace_length=5):
     """Time the replayer per engine; returns ``{engine: measurement}``.
 
-    Each engine runs ``rounds`` times and reports its best round
-    (minimum wall-clock). Candidates are ingested outside the timed
-    region -- this measures the serving path, not discovery. The
-    decision streams of all engines are asserted identical as a guard:
-    a "faster" engine that changes decisions is wrong, not fast.
+    Each round runs every engine once (so drift hits them alike); each
+    engine reports its best round (minimum wall-clock). Candidates are
+    ingested outside the timed region -- this measures the serving
+    path, not discovery. Every round's decision stream is asserted
+    identical across engines: a "faster" engine that changes decisions
+    is wrong, not fast.
     """
     if engines is None:
         engines = list(MATCH_ENGINES)
-    out = {}
+    best = {}
     reference = None
-    for name in engines:
-        best = None
-        stats = None
-        decisions = None
-        for _ in range(rounds):
+    for _ in range(rounds):
+        for name in engines:
             fired = []
             replayer = TraceReplayer(
                 on_flush=lambda tasks: None,
@@ -135,21 +133,23 @@ def measure_replayer_throughput(stream, repeats, engines=None, rounds=3,
                 replayer.process(None, token)
             replayer.flush_all()
             elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-                stats = replayer.stats
-                decisions = (tuple(fired), stats.decision_tuple())
-        if reference is None:
-            reference = decisions
-        elif decisions != reference:
-            raise AssertionError(
-                f"match engine {name!r} diverged from "
-                f"{engines[0]!r} on this workload"
-            )
-        out[name] = ReplayerMeasurement(
-            name, len(stream) / best if best else 0.0, best, stats
+            stats = replayer.stats
+            decisions = (tuple(fired), stats.decision_tuple())
+            if reference is None:
+                reference = decisions
+            elif decisions != reference:
+                raise AssertionError(
+                    f"match engine {name!r} diverged from "
+                    f"{engines[0]!r} on this workload"
+                )
+            if name not in best or elapsed < best[name][0]:
+                best[name] = (elapsed, stats)
+    return {
+        name: ReplayerMeasurement(
+            name, len(stream) / elapsed if elapsed else 0.0, elapsed, stats
         )
-    return out
+        for name, (elapsed, stats) in best.items()
+    }
 
 
 def workloads(num_tokens=20000, apps=("jacobi", "stencil")):

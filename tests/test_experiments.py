@@ -149,3 +149,42 @@ class TestReport:
     def test_format_empty_rows(self):
         text = format_table(["x"], [])
         assert "x" in text
+
+
+class TestPerfRoundsInterleave:
+    """Each round of the perf runners runs every engine or backend once,
+    so machine speed drift during a measurement hits all of them."""
+
+    def test_mining_rounds_interleave(self, monkeypatch):
+        from repro.experiments import mining_perf
+
+        order = []
+
+        def recording_miner(name):
+            return lambda tokens, min_length: order.append(name) or []
+
+        monkeypatch.setattr(mining_perf, "_backend_miner", recording_miner)
+        results = mining_perf.measure_mining_throughput(
+            [1, 2, 3], rounds=2, backends=["a", "b"], include_seed=False
+        )
+        assert order == ["a", "b", "a", "b"]
+        assert sorted(results) == ["a", "b"]
+
+    def test_replayer_rounds_interleave(self, monkeypatch):
+        from repro.experiments import replayer_perf
+
+        order = []
+        real = replayer_perf.TraceReplayer
+
+        def recording_replayer(*args, match_engine=None, **kwargs):
+            order.append(match_engine)
+            return real(*args, match_engine=match_engine, **kwargs)
+
+        monkeypatch.setattr(replayer_perf, "TraceReplayer",
+                            recording_replayer)
+        stream, repeats = replayer_perf.periodic_stream(num_tokens=400)
+        results = replayer_perf.measure_replayer_throughput(
+            stream, repeats, engines=["scan", "automaton"], rounds=2
+        )
+        assert order == ["scan", "automaton", "scan", "automaton"]
+        assert sorted(results) == ["automaton", "scan"]
